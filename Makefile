@@ -103,13 +103,17 @@ trace-demo:
 	$(GO) run ./cmd/harvest -quick -workers 2 -trace /tmp/harvest-fig3-trace.jsonl fig3
 	$(GO) run ./cmd/tracecat /tmp/harvest-fig3-trace.jsonl
 
-# Short fuzz pass over the wire-format parsers.
+# Short fuzz pass over the wire-format parsers and the network decoders
+# (shard snapshots as the aggregator reads them, /metrics as fleetwatch
+# scrapes it).
 fuzz:
 	$(GO) test -fuzz=FuzzReadValue -fuzztime=15s ./internal/resp/
 	$(GO) test -fuzz=FuzzParseNginxLine -fuzztime=15s ./internal/harvester/
 	$(GO) test -fuzz=FuzzCacheLogRoundTrip -fuzztime=15s ./internal/harvester/
 	$(GO) test -fuzz=FuzzBinRecDecode -fuzztime=15s ./internal/harvester/binrec/
 	$(GO) test -fuzz=FuzzBinRecRoundTrip -fuzztime=15s ./internal/harvester/binrec/
+	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=15s ./internal/harvestd/
+	$(GO) test -fuzz=FuzzParseProm -fuzztime=15s ./internal/obswatch/
 
 clean:
 	$(GO) clean ./...

@@ -13,24 +13,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
-	"syscall"
 
 	"repro/internal/cachesim"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 	"repro/internal/resp"
 	"repro/internal/stats"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "cached:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("cached", run) }
 
 // run wires flags → cache → RESP server and serves until ctx is cancelled.
 // When ready is non-nil the bound RESP address is sent on it after startup —
@@ -89,7 +80,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		srv.RegisterMetrics(reg)
 		obs.RegisterGoRuntime(reg)
 		mux := obs.MetricsMux(reg)
-		ms, err := obs.ServeMux(*metricsAddr, mux)
+		ms, err := daemon.Serve(*metricsAddr, mux)
 		if err != nil {
 			return err
 		}

@@ -28,22 +28,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/obswatch"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "fleetwatch:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("fleetwatch", run) }
 
 // run wires flags → watcher, serves until ctx is cancelled, then shuts
 // down gracefully. When ready is non-nil the API base URL is sent on it
@@ -117,9 +109,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 
 	<-ctx.Done()
 	fmt.Fprintln(stdout, "fleetwatch: shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := w.Shutdown(sctx); err != nil {
+	if err := daemon.Stop(w.Shutdown); err != nil {
 		return err
 	}
 	st := w.StatusNow()

@@ -24,24 +24,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "harvestagg:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("harvestagg", run) }
 
 // run wires flags → aggregator, serves until ctx is cancelled (the SIGTERM
 // path), then shuts down gracefully. When ready is non-nil the API base URL
@@ -89,7 +80,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		return err
 	}
 
-	debug, err := obs.StartDebug(*debugAddr)
+	debug, err := daemon.Serve(*debugAddr, obs.DebugMux())
 	if err != nil {
 		return err
 	}
@@ -112,9 +103,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 
 	<-ctx.Done()
 	fmt.Fprintln(stdout, "harvestagg: shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := a.Shutdown(sctx); err != nil {
+	if err := daemon.Stop(a.Shutdown); err != nil {
 		return err
 	}
 	for _, pe := range a.Estimates(*delta) {

@@ -27,28 +27,20 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/harvestd"
 	"repro/internal/lbsim"
 	"repro/internal/obs"
 	"repro/internal/policy"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "harvestd:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("harvestd", run) }
 
 // run wires flags → sources → registry → daemon, serves until ctx is
 // cancelled (the SIGTERM path), then shuts down gracefully. When ready is
@@ -134,7 +126,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		return err
 	}
 
-	debug, err := obs.StartDebug(*debugAddr)
+	debug, err := daemon.Serve(*debugAddr, obs.DebugMux())
 	if err != nil {
 		return err
 	}
@@ -168,9 +160,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 
 	<-ctx.Done()
 	fmt.Fprintln(stdout, "harvestd: shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := d.Shutdown(sctx); err != nil {
+	if err := daemon.Stop(d.Shutdown); err != nil {
 		return err
 	}
 	for _, pe := range d.Estimates() {

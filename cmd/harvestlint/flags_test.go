@@ -42,7 +42,7 @@ func TestBinaryList(t *testing.T) {
 		t.Fatalf("-list exit = %d", code)
 	}
 	for _, name := range []string{"rawrand", "propdiv", "walltime", "lockcopy", "errdrop",
-		"proptaint", "detorder", "wirecompat", "ctxloop"} {
+		"proptaint", "detorder", "wirecompat", "ctxloop", "rawserver"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing %q:\n%s", name, stdout)
 		}

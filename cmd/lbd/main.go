@@ -31,11 +31,10 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/lbsim"
 	"repro/internal/netlb"
 	"repro/internal/obs"
@@ -43,14 +42,7 @@ import (
 	"repro/internal/stats"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "lbd:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("lbd", run) }
 
 // run wires flags → backends → proxy, then either self-generates load or
 // serves until ctx is cancelled. When ready is non-nil the proxy base URL
@@ -136,7 +128,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		reg := obs.NewRegistry()
 		proxy.SetMetrics(reg)
 		obs.RegisterGoRuntime(reg)
-		ms, err := obs.ServeMux(*metricsAddr, obs.MetricsMux(reg))
+		ms, err := daemon.Serve(*metricsAddr, obs.MetricsMux(reg))
 		if err != nil {
 			return err
 		}
@@ -144,14 +136,14 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		fmt.Fprintf(stdout, "metrics on http://%s/metrics\n", ms.Addr())
 	}
 	if *adminAddr != "" {
-		as, err := obs.ServeMux(*adminAddr, adminMux(blend))
+		as, err := daemon.Serve(*adminAddr, adminMux(blend))
 		if err != nil {
 			return err
 		}
 		defer func() { _ = as.Close() }()
 		fmt.Fprintf(stdout, "share admin on http://%s/share\n", as.Addr())
 	}
-	debug, err := obs.StartDebug(*debugAddr)
+	debug, err := daemon.Serve(*debugAddr, obs.DebugMux())
 	if err != nil {
 		return err
 	}

@@ -31,24 +31,16 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/obs"
 	"repro/internal/rollout"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "rolloutd:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("rolloutd", run) }
 
 // run wires flags → controller, serves until ctx is cancelled, then shuts
 // down gracefully. When ready is non-nil the API base URL is sent on it
@@ -131,7 +123,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		return err
 	}
 
-	debug, err := obs.StartDebug(*debugAddr)
+	debug, err := daemon.Serve(*debugAddr, obs.DebugMux())
 	if err != nil {
 		return err
 	}
@@ -151,9 +143,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 
 	<-ctx.Done()
 	fmt.Fprintln(stdout, "rolloutd: shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := c.Shutdown(sctx); err != nil {
+	if err := daemon.Stop(c.Shutdown); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "rolloutd: final stage=%s share=%g\n", c.Stage(), c.Share())

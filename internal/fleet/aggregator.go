@@ -3,13 +3,15 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"net"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/harvestd"
 	"repro/internal/obs"
 )
@@ -119,13 +121,11 @@ type Aggregator struct {
 	stateMu sync.Mutex
 	running bool
 
-	loopCtx  context.Context
-	cancel   context.CancelFunc
-	wg       sync.WaitGroup
-	ckptDone chan struct{}
+	loopCtx context.Context
+	cancel  context.CancelFunc
+	wg      sync.WaitGroup // pull loops and the checkpoint timer
 
-	ln  net.Listener
-	srv *http.Server
+	srv *daemon.Server
 }
 
 // New builds an aggregator over the configured shard fleet.
@@ -183,13 +183,11 @@ func (a *Aggregator) Start(ctx context.Context) error {
 		}
 	}
 
-	if a.cfg.Addr != "" {
-		ln, err := net.Listen("tcp", a.cfg.Addr)
-		if err != nil {
-			return fmt.Errorf("fleet: listen %s: %w", a.cfg.Addr, err)
-		}
-		a.ln = ln
+	srv, err := daemon.Listen(a.cfg.Addr)
+	if err != nil {
+		return fmt.Errorf("fleet: listen %s: %w", a.cfg.Addr, err)
 	}
+	a.srv = srv
 
 	a.start = a.cfg.Clock.Now()
 	a.loopCtx, a.cancel = context.WithCancel(ctx)
@@ -198,17 +196,21 @@ func (a *Aggregator) Start(ctx context.Context) error {
 		go a.pullLoop(st)
 	}
 
-	a.ckptDone = make(chan struct{})
 	if a.cfg.CheckpointPath != "" {
-		go a.checkpointLoop()
-	} else {
-		close(a.ckptDone)
+		a.wg.Add(1)
+		go func() {
+			defer a.wg.Done()
+			daemon.Every(a.loopCtx, a.cfg.CheckpointInterval, func() {
+				if err := a.Checkpoint(); err != nil {
+					a.cfg.Logf("harvestagg: checkpoint failed: %v", err)
+				}
+			})
+		}()
 	}
 
-	if a.ln != nil {
-		a.srv = &http.Server{Handler: a.handler()}
-		go func(srv *http.Server, ln net.Listener) { _ = srv.Serve(ln) }(a.srv, a.ln)
-		a.cfg.Logf("harvestagg: serving on http://%s (%d shards)", a.ln.Addr(), len(a.shards))
+	if a.srv != nil {
+		a.srv.Serve(a.handler())
+		a.cfg.Logf("harvestagg: serving on %s (%d shards)", a.srv.URL(), len(a.shards))
 	}
 
 	a.running = true
@@ -220,10 +222,7 @@ func (a *Aggregator) Start(ctx context.Context) error {
 func (a *Aggregator) Addr() string {
 	a.stateMu.Lock()
 	defer a.stateMu.Unlock()
-	if a.ln == nil {
-		return ""
-	}
-	return a.ln.Addr().String()
+	return a.srv.Addr()
 }
 
 // URL returns the API's base URL (after Start).
@@ -296,7 +295,10 @@ func (a *Aggregator) pullShard(ctx context.Context, st *shardState) error {
 	return nil
 }
 
-// fetchSnapshot performs one GET {base}/snapshot and decodes the result.
+// fetchSnapshot performs one GET {base}/snapshot and decodes the result. The
+// read is capped at core.MaxRecordBytes, so a faulty or hostile shard cannot
+// make the aggregator allocate without bound: an oversized reply fails the
+// decode like any other malformed one.
 func fetchSnapshot(ctx context.Context, client *http.Client, base string) (*harvestd.StateSnapshot, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/snapshot", nil)
 	if err != nil {
@@ -310,7 +312,7 @@ func fetchSnapshot(ctx context.Context, client *http.Client, base string) (*harv
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("fleet: %s/snapshot: HTTP %d", base, resp.StatusCode)
 	}
-	return harvestd.DecodeSnapshot(resp.Body)
+	return harvestd.DecodeSnapshot(io.LimitReader(resp.Body, core.MaxRecordBytes))
 }
 
 // PullAll pulls every shard once, synchronously — the startup warm-up and
@@ -467,36 +469,15 @@ func (a *Aggregator) Shutdown(ctx context.Context) error {
 
 	a.cancel()
 	a.wg.Wait()
-	<-a.ckptDone
 
 	var ckptErr error
 	if a.cfg.CheckpointPath != "" {
 		ckptErr = a.Checkpoint()
 	}
 
-	var srvErr error
-	if a.srv != nil {
-		srvErr = a.srv.Shutdown(ctx)
-	}
+	srvErr := a.srv.Shutdown(ctx)
 	if ckptErr != nil {
 		return fmt.Errorf("fleet: final checkpoint: %w", ckptErr)
 	}
 	return srvErr
-}
-
-// checkpointLoop writes checkpoints on a timer until shutdown.
-func (a *Aggregator) checkpointLoop() {
-	defer close(a.ckptDone)
-	t := time.NewTicker(a.cfg.CheckpointInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := a.Checkpoint(); err != nil {
-				a.cfg.Logf("harvestagg: checkpoint failed: %v", err)
-			}
-		case <-a.loopCtx.Done():
-			return
-		}
-	}
 }

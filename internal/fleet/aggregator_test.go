@@ -493,6 +493,11 @@ func TestAggregatorHTTPEndpoints(t *testing.T) {
 		"harvestagg_shard_up{shard=\"shard-a\"} 1",
 		"harvestagg_shards_live 1",
 		"harvestagg_policy_n{policy=\"uniform\"} 100",
+		// The shared renderer gives the aggregator harvestd's full gauge set.
+		"harvestagg_policy_match_rate{policy=\"uniform\"} ",
+		"harvestagg_policy_mean_weight{policy=\"uniform\"} ",
+		"harvestagg_policy_max_weight{policy=\"uniform\"} ",
+		"harvestagg_policy_floor_fraction{policy=\"uniform\"} ",
 	} {
 		if !strings.Contains(body, metric) {
 			t.Errorf("metrics missing %q", metric)

@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/harvestd"
 )
 
@@ -30,10 +30,9 @@ type checkpointFile struct {
 	Shards  map[string]shardCheckpoint `json:"shards"`
 }
 
-// Checkpoint atomically persists the last-known snapshot of every shard:
-// marshal to a temp file in the checkpoint's directory, fsync, then rename
-// over the destination — a crash mid-write leaves the previous checkpoint
-// intact (the same protocol as harvestd's own checkpoints).
+// Checkpoint atomically persists the last-known snapshot of every shard
+// (daemon.WriteFileAtomic, the same write as harvestd's own checkpoints) —
+// a crash mid-write leaves the previous checkpoint intact.
 func (a *Aggregator) Checkpoint() error {
 	path := a.cfg.CheckpointPath
 	if path == "" {
@@ -61,29 +60,8 @@ func (a *Aggregator) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("fleet: encoding checkpoint: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("fleet: checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(blob); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
+	if err := daemon.WriteFileAtomic(path, blob); err != nil {
 		return fmt.Errorf("fleet: writing checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("fleet: syncing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("fleet: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("fleet: publishing checkpoint: %w", err)
 	}
 	a.checkpoints.Add(1)
 	return nil

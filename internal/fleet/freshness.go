@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
+	"repro/internal/core"
 	"repro/internal/harvestd"
 )
 
@@ -49,9 +51,10 @@ type FleetFreshness struct {
 	Shards              []ShardFreshness `json:"shards"`
 }
 
-// fetchFreshness performs one GET {base}/freshness. A 404 reports (nil,
-// nil): the shard predates the endpoint, and freshness merging is strictly
-// additive over the snapshot pull.
+// fetchFreshness performs one GET {base}/freshness, capped at
+// core.MaxRecordBytes like the snapshot read. A 404 reports (nil, nil): the
+// shard predates the endpoint, and freshness merging is strictly additive
+// over the snapshot pull.
 func fetchFreshness(ctx context.Context, client *http.Client, base string) (*harvestd.FreshnessReport, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/freshness", nil)
 	if err != nil {
@@ -69,7 +72,7 @@ func fetchFreshness(ctx context.Context, client *http.Client, base string) (*har
 		return nil, fmt.Errorf("fleet: %s/freshness: HTTP %d", base, resp.StatusCode)
 	}
 	var rep harvestd.FreshnessReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, core.MaxRecordBytes)).Decode(&rep); err != nil {
 		return nil, fmt.Errorf("fleet: decoding freshness: %w", err)
 	}
 	if rep.Version != harvestd.FreshnessVersion {

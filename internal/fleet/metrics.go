@@ -1,9 +1,6 @@
 package fleet
 
-import (
-	"repro/internal/harvestd"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Metric help strings shared between registration and scrape-time updates
 // (the obs registry enforces that help text never changes for a name).
@@ -12,18 +9,13 @@ const (
 	helpShardStaleness = "seconds since the shard's last successful snapshot pull (-1 never)"
 	helpShardSeq       = "last snapshot sequence number delivered by the shard"
 	helpShardN         = "datapoints folded per the shard's last snapshot"
-	helpPolicyN        = "datapoints folded into the policy's merged fleet estimators"
-	helpPolicyMean     = "fleet-wide off-policy point estimate"
-	helpPolicyStderr   = "standard error of the fleet-wide estimate"
-	helpPolicyESS      = "fleet-wide Kish effective sample size (sum w)^2 / sum w^2"
-	helpPolicyESSFrac  = "fleet-wide effective sample size as a fraction of n"
-	helpPolicyClipFrac = "fleet-wide fraction of datapoints whose weight hit the clip cap"
 )
 
 // initMetrics builds the aggregator's obs registry. Per-shard series are
 // registered up front (the fleet membership is fixed for the aggregator's
 // lifetime) as scrape-time readers over the shard states; merged per-policy
-// series are refreshed per scrape in updatePolicyMetrics.
+// series are refreshed per scrape by harvestd.SetPolicyMetrics, the renderer
+// both tiers share.
 func (a *Aggregator) initMetrics() {
 	r := obs.NewRegistry()
 	r.GaugeFunc("harvestagg_uptime_seconds", "seconds since the aggregator started", func() float64 {
@@ -96,31 +88,4 @@ func (a *Aggregator) initMetrics() {
 	}
 	obs.RegisterGoRuntime(r)
 	a.obsReg = r
-}
-
-// updatePolicyMetrics refreshes the merged per-policy gauges from the
-// current fleet view. Called at scrape time, so the pull loops pay nothing.
-func (a *Aggregator) updatePolicyMetrics() {
-	v := a.View()
-	r := a.obsReg
-	for _, pe := range v.Estimates(a.cfg.Delta) {
-		r.Gauge("harvestagg_policy_n", helpPolicyN, "policy", pe.Policy).Set(float64(pe.N))
-		for _, est := range []struct {
-			name string
-			ev   harvestd.EstimatorValue
-		}{
-			{"ips", pe.IPS},
-			{"clipped_ips", pe.ClippedIPS},
-			{"snips", pe.SNIPS},
-		} {
-			labels := []string{"policy", pe.Policy, "estimator", est.name}
-			r.Gauge("harvestagg_policy_mean", helpPolicyMean, labels...).Set(est.ev.Value)
-			r.Gauge("harvestagg_policy_stderr", helpPolicyStderr, labels...).Set(est.ev.StdErr)
-		}
-	}
-	for _, dg := range v.Diagnostics() {
-		r.Gauge("harvestagg_policy_ess", helpPolicyESS, "policy", dg.Policy).Set(dg.ESS)
-		r.Gauge("harvestagg_policy_ess_fraction", helpPolicyESSFrac, "policy", dg.Policy).Set(dg.ESSFraction)
-		r.Gauge("harvestagg_policy_clip_fraction", helpPolicyClipFrac, "policy", dg.Policy).Set(dg.ClipFraction)
-	}
 }

@@ -1,12 +1,12 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/harvestd"
 )
 
@@ -71,10 +71,10 @@ func (a *Aggregator) handleEstimates(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("unknown policy %q", name), http.StatusNotFound)
 			return
 		}
-		writeJSON(w, acc.Estimate(name, delta))
+		daemon.WriteJSON(w, acc.Estimate(name, delta))
 		return
 	}
-	writeJSON(w, view.Estimates(delta))
+	daemon.WriteJSON(w, view.Estimates(delta))
 }
 
 // fleetDiagnostics is the /diagnostics payload: shard health, the merged
@@ -97,7 +97,7 @@ type fleetDiagnostics struct {
 
 func (a *Aggregator) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	v := a.View()
-	writeJSON(w, fleetDiagnostics{
+	daemon.WriteJSON(w, fleetDiagnostics{
 		UptimeSeconds:    a.cfg.Clock.Now().Sub(a.start).Seconds(),
 		Delta:            a.cfg.Delta,
 		PullIntervalSecs: a.cfg.PullInterval.Seconds(),
@@ -115,12 +115,12 @@ func (a *Aggregator) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *Aggregator) handleFreshness(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, a.Freshness())
+	daemon.WriteJSON(w, a.Freshness())
 }
 
 func (a *Aggregator) handleShards(w http.ResponseWriter, r *http.Request) {
 	v := a.View()
-	writeJSON(w, v.Shards)
+	daemon.WriteJSON(w, v.Shards)
 }
 
 // routeReply is the /route payload.
@@ -144,11 +144,12 @@ func (a *Aggregator) handleRoute(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, routeReply{Key: key, Shard: name, URL: url})
+	daemon.WriteJSON(w, routeReply{Key: key, Shard: name, URL: url})
 }
 
 func (a *Aggregator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	a.updatePolicyMetrics()
+	v := a.View()
+	harvestd.SetPolicyMetrics(a.obsReg, "harvestagg", v.Estimates(a.cfg.Delta), v.Diagnostics())
 	a.obsReg.Handler().ServeHTTP(w, r)
 }
 
@@ -182,14 +183,4 @@ func (a *Aggregator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "checkpointed to %s\n", a.cfg.CheckpointPath)
-}
-
-// writeJSON matches harvestd's encoder settings exactly, so the merged
-// /estimates of a fleet and the /estimates of an equivalent single daemon
-// are comparable byte-for-byte.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
 }

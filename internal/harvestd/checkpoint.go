@@ -4,8 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
+
+	"repro/internal/daemon"
 )
 
 // checkpointVersion guards the on-disk schema.
@@ -25,9 +26,9 @@ type checkpointFile struct {
 	Policies    map[string]Accum `json:"policies"`
 }
 
-// Checkpoint atomically persists the current estimator state: marshal to a
-// temp file in the checkpoint's directory, fsync, then rename over the
-// destination — a crash mid-write leaves the previous checkpoint intact.
+// Checkpoint atomically persists the current estimator state
+// (daemon.WriteFileAtomic) — a crash mid-write leaves the previous
+// checkpoint intact.
 func (d *Daemon) Checkpoint() error {
 	path := d.cfg.CheckpointPath
 	if path == "" {
@@ -47,29 +48,8 @@ func (d *Daemon) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("harvestd: encoding checkpoint: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("harvestd: checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(blob); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
+	if err := daemon.WriteFileAtomic(path, blob); err != nil {
 		return fmt.Errorf("harvestd: writing checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("harvestd: syncing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("harvestd: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("harvestd: publishing checkpoint: %w", err)
 	}
 	d.ctr.checkpoints.Add(1)
 	d.cfg.Tracer.Event("checkpoint", d.root, map[string]any{"folded": ck.Folded})

@@ -20,8 +20,6 @@ package harvestd
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"sync"
@@ -29,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 )
 
@@ -142,15 +141,13 @@ type Daemon struct {
 
 	srcCtx    context.Context
 	srcCancel context.CancelFunc
-	srcWG     sync.WaitGroup
+	srcWG     sync.WaitGroup // sources and the checkpoint timer
 	workerWG  sync.WaitGroup
-	ckptDone  chan struct{}
 
 	errMu   sync.Mutex
 	srcErrs []error
 
-	ln  net.Listener
-	srv *http.Server
+	srv *daemon.Server
 }
 
 // New builds a daemon over a registry. The registry must have at least as
@@ -216,13 +213,11 @@ func (d *Daemon) Start(ctx context.Context) error {
 	}
 
 	// Listen before spawning anything so a bad address fails cleanly.
-	if d.cfg.Addr != "" {
-		ln, err := net.Listen("tcp", d.cfg.Addr)
-		if err != nil {
-			return fmt.Errorf("harvestd: listen %s: %w", d.cfg.Addr, err)
-		}
-		d.ln = ln
+	srv, err := daemon.Listen(d.cfg.Addr)
+	if err != nil {
+		return fmt.Errorf("harvestd: listen %s: %w", d.cfg.Addr, err)
 	}
+	d.srv = srv
 
 	d.start = d.cfg.Clock.Now()
 	d.srcCtx, d.srcCancel = context.WithCancel(ctx)
@@ -251,17 +246,21 @@ func (d *Daemon) Start(ctx context.Context) error {
 		}(s, sink)
 	}
 
-	d.ckptDone = make(chan struct{})
 	if d.cfg.CheckpointPath != "" {
-		go d.checkpointLoop()
-	} else {
-		close(d.ckptDone)
+		d.srcWG.Add(1)
+		go func() {
+			defer d.srcWG.Done()
+			daemon.Every(d.srcCtx, d.cfg.CheckpointInterval, func() {
+				if err := d.Checkpoint(); err != nil {
+					d.cfg.Logf("harvestd: checkpoint failed: %v", err)
+				}
+			})
+		}()
 	}
 
-	if d.ln != nil {
-		d.srv = &http.Server{Handler: d.handler()}
-		go func(srv *http.Server, ln net.Listener) { _ = srv.Serve(ln) }(d.srv, d.ln)
-		d.cfg.Logf("harvestd: serving on http://%s", d.ln.Addr())
+	if d.srv != nil {
+		d.srv.Serve(d.handler())
+		d.cfg.Logf("harvestd: serving on %s", d.srv.URL())
 	}
 
 	d.running = true
@@ -273,10 +272,7 @@ func (d *Daemon) Start(ctx context.Context) error {
 func (d *Daemon) Addr() string {
 	d.stateMu.RLock()
 	defer d.stateMu.RUnlock()
-	if d.ln == nil {
-		return ""
-	}
-	return d.ln.Addr().String()
+	return d.srv.Addr()
 }
 
 // URL returns the API's base URL (after Start).
@@ -362,23 +358,6 @@ func (d *Daemon) Ingest(dp core.Datapoint) error {
 	return nil
 }
 
-// checkpointLoop writes checkpoints on a timer until shutdown.
-func (d *Daemon) checkpointLoop() {
-	defer close(d.ckptDone)
-	t := time.NewTicker(d.cfg.CheckpointInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := d.Checkpoint(); err != nil {
-				d.cfg.Logf("harvestd: checkpoint failed: %v", err)
-			}
-		case <-d.srcCtx.Done():
-			return
-		}
-	}
-}
-
 // SourceErrors returns errors from sources that failed so far.
 func (d *Daemon) SourceErrors() []error {
 	d.errMu.Lock()
@@ -405,21 +384,17 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.draining = true
 	d.stateMu.Unlock()
 
-	// 1. Stop the producers: cancel sources and wait them out; stop the
-	// HTTP server so no /ingest handler is mid-Emit (readers also stop —
-	// estimates are frozen from here, which keeps the final checkpoint
-	// authoritative).
+	// 1. Stop the producers: cancel sources (and the checkpoint timer) and
+	// wait them out; stop the HTTP server so no /ingest handler is
+	// mid-Emit (readers also stop — estimates are frozen from here, which
+	// keeps the final checkpoint authoritative).
 	d.srcCancel()
 	d.srcWG.Wait()
-	var srvErr error
-	if d.srv != nil {
-		srvErr = d.srv.Shutdown(ctx)
-	}
+	srvErr := d.srv.Shutdown(ctx)
 
 	// 2. Drain: close the queue and let the workers fold what's in flight.
 	close(d.queue)
 	d.workerWG.Wait()
-	<-d.ckptDone
 
 	// 3. Persist the drained state.
 	var ckptErr error

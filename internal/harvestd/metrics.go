@@ -66,16 +66,17 @@ func (d *Daemon) initMetrics() {
 	d.obsReg = r
 }
 
-// updatePolicyMetrics refreshes the per-policy gauge series from the
-// estimator shards. Called at scrape time: policy series appear on the
-// first scrape after registration and track the merged state from then on.
-func (d *Daemon) updatePolicyMetrics() {
-	ests := d.reg.Estimates(d.cfg.Delta)
-	diags := d.reg.Diagnostics()
-	for i, pe := range ests {
-		r := d.obsReg
-		r.Gauge("harvestd_policy_n", helpPolicyN, "policy", pe.Policy).Set(float64(pe.N))
-		r.Gauge("harvestd_policy_match_rate", helpPolicyMatchRate, "policy", pe.Policy).Set(pe.MatchRate)
+// SetPolicyMetrics refreshes the per-policy gauge series <prefix>_policy_*
+// from estimates and their diagnostics. It is the one renderer for both
+// tiers: harvestd calls it with prefix "harvestd" over its own shards,
+// harvestagg with "harvestagg" over the merged fleet view, so the two
+// surfaces carry the same gauge set under their own names. Callers run it
+// at scrape time: policy series appear on the first scrape after a policy
+// is seen and track the state from then on.
+func SetPolicyMetrics(r *obs.Registry, prefix string, ests []PolicyEstimate, diags []PolicyDiagnostics) {
+	for _, pe := range ests {
+		r.Gauge(prefix+"_policy_n", helpPolicyN, "policy", pe.Policy).Set(float64(pe.N))
+		r.Gauge(prefix+"_policy_match_rate", helpPolicyMatchRate, "policy", pe.Policy).Set(pe.MatchRate)
 		for _, est := range []struct {
 			name string
 			ev   EstimatorValue
@@ -85,15 +86,16 @@ func (d *Daemon) updatePolicyMetrics() {
 			{"snips", pe.SNIPS},
 		} {
 			labels := []string{"policy", pe.Policy, "estimator", est.name}
-			r.Gauge("harvestd_policy_mean", helpPolicyMean, labels...).Set(est.ev.Value)
-			r.Gauge("harvestd_policy_stderr", helpPolicyStderr, labels...).Set(est.ev.StdErr)
+			r.Gauge(prefix+"_policy_mean", helpPolicyMean, labels...).Set(est.ev.Value)
+			r.Gauge(prefix+"_policy_stderr", helpPolicyStderr, labels...).Set(est.ev.StdErr)
 		}
-		dg := diags[i]
-		r.Gauge("harvestd_policy_ess", helpPolicyESS, "policy", pe.Policy).Set(dg.ESS)
-		r.Gauge("harvestd_policy_ess_fraction", helpPolicyESSFrac, "policy", pe.Policy).Set(dg.ESSFraction)
-		r.Gauge("harvestd_policy_mean_weight", helpPolicyMeanWeight, "policy", pe.Policy).Set(dg.MeanWeight)
-		r.Gauge("harvestd_policy_max_weight", helpPolicyMaxWeight, "policy", pe.Policy).Set(dg.MaxWeight)
-		r.Gauge("harvestd_policy_clip_fraction", helpPolicyClipFrac, "policy", pe.Policy).Set(dg.ClipFraction)
-		r.Gauge("harvestd_policy_floor_fraction", helpPolicyFloorFrac, "policy", pe.Policy).Set(dg.FloorFraction)
+	}
+	for _, dg := range diags {
+		r.Gauge(prefix+"_policy_ess", helpPolicyESS, "policy", dg.Policy).Set(dg.ESS)
+		r.Gauge(prefix+"_policy_ess_fraction", helpPolicyESSFrac, "policy", dg.Policy).Set(dg.ESSFraction)
+		r.Gauge(prefix+"_policy_mean_weight", helpPolicyMeanWeight, "policy", dg.Policy).Set(dg.MeanWeight)
+		r.Gauge(prefix+"_policy_max_weight", helpPolicyMaxWeight, "policy", dg.Policy).Set(dg.MaxWeight)
+		r.Gauge(prefix+"_policy_clip_fraction", helpPolicyClipFrac, "policy", dg.Policy).Set(dg.ClipFraction)
+		r.Gauge(prefix+"_policy_floor_fraction", helpPolicyFloorFrac, "policy", dg.Policy).Set(dg.FloorFraction)
 	}
 }

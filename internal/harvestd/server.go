@@ -3,7 +3,6 @@ package harvestd
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/harvester"
 	"repro/internal/harvester/binrec"
 )
@@ -73,7 +73,7 @@ func (d *Daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleFreshness(w http.ResponseWriter, r *http.Request) {
 	sp := d.cfg.Tracer.Start("freshness", d.root, nil)
 	defer sp.End()
-	writeJSON(w, d.FreshnessNow())
+	daemon.WriteJSON(w, d.FreshnessNow())
 }
 
 func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -95,7 +95,7 @@ func (d *Daemon) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	for i, pe := range ests {
 		out[i] = policyInfo{Name: pe.Policy, N: pe.N, MatchRate: pe.MatchRate}
 	}
-	writeJSON(w, out)
+	daemon.WriteJSON(w, out)
 }
 
 func (d *Daemon) handleEstimates(w http.ResponseWriter, r *http.Request) {
@@ -116,10 +116,10 @@ func (d *Daemon) handleEstimates(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("unknown policy %q", name), http.StatusNotFound)
 			return
 		}
-		writeJSON(w, pe)
+		daemon.WriteJSON(w, pe)
 		return
 	}
-	writeJSON(w, d.reg.Estimates(delta))
+	daemon.WriteJSON(w, d.reg.Estimates(delta))
 }
 
 // handleIngest accepts newline-delimited log data and pushes it through the
@@ -198,7 +198,7 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, map[string]int64{
+	daemon.WriteJSON(w, map[string]int64{
 		"lines": lines, "ingested": ingested,
 		"rejected": rejected, "parse_errors": parseErrors,
 	})
@@ -249,7 +249,7 @@ func (d *Daemon) handleIngestBin(w http.ResponseWriter, r *http.Request, lines, 
 		}
 		*ingested += int64(n)
 	}
-	writeJSON(w, map[string]int64{
+	daemon.WriteJSON(w, map[string]int64{
 		"lines": *lines, "ingested": *ingested,
 		"rejected": *rejected, "parse_errors": 0,
 	})
@@ -296,7 +296,7 @@ func (d *Daemon) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // byte-identical — the fix for the map-iteration nondeterminism the
 // hand-rolled renderer had.
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	d.updatePolicyMetrics()
+	SetPolicyMetrics(d.obsReg, "harvestd", d.reg.Estimates(d.cfg.Delta), d.reg.Diagnostics())
 	d.obsReg.Handler().ServeHTTP(w, r)
 }
 
@@ -321,7 +321,7 @@ type DiagnosticsReport struct {
 func (d *Daemon) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	sp := d.cfg.Tracer.Start("diagnostics", d.root, nil)
 	defer sp.End()
-	writeJSON(w, DiagnosticsReport{
+	daemon.WriteJSON(w, DiagnosticsReport{
 		UptimeSeconds:   d.cfg.Clock.Now().Sub(d.start).Seconds(),
 		Clip:            d.reg.Clip(),
 		PropensityFloor: d.reg.PropensityFloor(),
@@ -332,11 +332,4 @@ func (d *Daemon) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 		EvalPanics:      d.reg.EvalPanics(),
 		Policies:        d.reg.Diagnostics(),
 	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
 }

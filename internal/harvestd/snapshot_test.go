@@ -154,6 +154,10 @@ func TestSnapshotWireMergeMatchesInProcess(t *testing.T) {
 	}
 }
 
+// goldenSnapshotWire is the wire form TestSnapshotGoldenBytes pins; the
+// snapshot fuzzer seeds from it.
+const goldenSnapshotWire = `{"version":1,"shard_id":"golden","seq":7,"clip":3,"floor":0.001,"eval_panics":0,"counters":{"lines":2,"parse_errors":0,"rejected":0,"ingested":2,"folded":2},"policies":{"p":{"n":2,"matches":2,"sum_w":6,"sum_w_sq":20,"max_w":4,"sum_wr":1,"sum_wr_sq":13,"sum_w2r":-2,"sum_w2r2":13,"sum_cw":5,"sum_cwr":1.5,"sum_cwr_sq":11.25,"min_term":-2,"max_term":3,"min_cterm":-1.5,"max_cterm":3,"min_r":-0.5,"max_r":1.5,"clipped":1,"floor_hits":0}}}` + "\n"
+
 // TestSnapshotGoldenBytes pins the exact wire bytes of a fixed snapshot:
 // any schema or encoding change (field rename, float formatting, key
 // order) must be deliberate, because it breaks mixed-version fleets.
@@ -174,8 +178,7 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	if err := EncodeSnapshot(&buf, &s); err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"version":1,"shard_id":"golden","seq":7,"clip":3,"floor":0.001,"eval_panics":0,"counters":{"lines":2,"parse_errors":0,"rejected":0,"ingested":2,"folded":2},"policies":{"p":{"n":2,"matches":2,"sum_w":6,"sum_w_sq":20,"max_w":4,"sum_wr":1,"sum_wr_sq":13,"sum_w2r":-2,"sum_w2r2":13,"sum_cw":5,"sum_cwr":1.5,"sum_cwr_sq":11.25,"min_term":-2,"max_term":3,"min_cterm":-1.5,"max_cterm":3,"min_r":-0.5,"max_r":1.5,"clipped":1,"floor_hits":0}}}` + "\n"
-	if got := buf.String(); got != want {
+	if got, want := buf.String(), goldenSnapshotWire; got != want {
 		t.Fatalf("golden wire bytes drifted:\n got  %s\n want %s", got, want)
 	}
 }

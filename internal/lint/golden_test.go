@@ -113,6 +113,16 @@ func TestRawRandParallelPackage(t *testing.T) {
 	runGolden(t, "rawrand_parallel", "repro/internal/parallel", RawRand)
 }
 
+func TestRawServerGolden(t *testing.T) {
+	runGolden(t, "rawserver", "repro/internal/fixture", RawServer)
+}
+
+// TestRawServerApprovedPackage loads server construction under the daemon
+// skeleton's import path, the one place it is allowed.
+func TestRawServerApprovedPackage(t *testing.T) {
+	runGolden(t, "rawserver_approved", "repro/internal/daemon", RawServer)
+}
+
 func TestPropDivGolden(t *testing.T) {
 	runGolden(t, "propdiv", "repro/internal/fixture", PropDiv)
 }

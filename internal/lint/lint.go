@@ -95,7 +95,7 @@ type Analyzer struct {
 // All returns the full analyzer registry in output order.
 func All() []*Analyzer {
 	return []*Analyzer{RawRand, PropDiv, WallTime, LockCopy, ErrDrop,
-		PropTaint, DetOrder, WireCompat, CtxLoop}
+		PropTaint, DetOrder, WireCompat, CtxLoop, RawServer}
 }
 
 // Pass carries one type-checked package through one analyzer.

@@ -12,10 +12,11 @@ package netlb
 
 import (
 	"fmt"
-	"net"
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/daemon"
 )
 
 // Backend is an HTTP server whose handler holds each request for
@@ -34,8 +35,7 @@ type Backend struct {
 
 	inflight atomic.Int64
 	served   atomic.Int64
-	ln       net.Listener
-	srv      *http.Server
+	srv      *daemon.Server
 }
 
 // StartBackend launches a backend on an ephemeral localhost port.
@@ -44,15 +44,13 @@ func StartBackend(id int, base, slope time.Duration) (*Backend, error) {
 		return nil, fmt.Errorf("netlb: backend %d timing base=%v slope=%v", id, base, slope)
 	}
 	b := &Backend{ID: id, Base: base, Slope: slope}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	mux := http.NewServeMux()
+	mux.HandleFunc("/", b.handle)
+	srv, err := daemon.Serve("127.0.0.1:0", mux)
 	if err != nil {
 		return nil, fmt.Errorf("netlb: backend %d listen: %w", id, err)
 	}
-	b.ln = ln
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", b.handle)
-	b.srv = &http.Server{Handler: mux}
-	go func() { _ = b.srv.Serve(ln) }()
+	b.srv = srv
 	return b, nil
 }
 
@@ -95,10 +93,10 @@ func TypeFromPath(path string, numTypes int) int {
 }
 
 // Addr returns the backend's host:port.
-func (b *Backend) Addr() string { return b.ln.Addr().String() }
+func (b *Backend) Addr() string { return b.srv.Addr() }
 
 // URL returns the backend's base URL.
-func (b *Backend) URL() string { return "http://" + b.Addr() }
+func (b *Backend) URL() string { return b.srv.URL() }
 
 // Inflight returns the current number of in-flight requests.
 func (b *Backend) Inflight() int64 { return b.inflight.Load() }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/lbsim"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -44,8 +45,7 @@ type Proxy struct {
 	metrics  *proxyMetrics
 
 	client *http.Client
-	ln     net.Listener
-	srv    *http.Server
+	srv    *daemon.Server
 }
 
 // proxyMetrics caches per-backend instrument handles: the registry lookup
@@ -165,29 +165,22 @@ func NewProxy(upstreams []string, pol core.Policy, r *rand.Rand, logW io.Writer)
 
 // Start listens on an ephemeral localhost port and serves until Close.
 func (p *Proxy) Start() (net.Addr, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, err := daemon.Serve("127.0.0.1:0", p)
 	if err != nil {
 		return nil, fmt.Errorf("netlb: proxy listen: %w", err)
 	}
-	p.ln = ln
-	p.srv = &http.Server{Handler: p}
-	go func() { _ = p.srv.Serve(ln) }()
-	return ln.Addr(), nil
+	p.srv = srv
+	return net.ResolveTCPAddr("tcp", srv.Addr())
 }
 
 // Addr returns the proxy's host:port (after Start).
-func (p *Proxy) Addr() string { return p.ln.Addr().String() }
+func (p *Proxy) Addr() string { return p.srv.Addr() }
 
 // URL returns the proxy's base URL (after Start).
-func (p *Proxy) URL() string { return "http://" + p.Addr() }
+func (p *Proxy) URL() string { return p.srv.URL() }
 
-// Close shuts down the proxy listener.
-func (p *Proxy) Close() error {
-	if p.srv == nil {
-		return nil
-	}
-	return p.srv.Close()
-}
+// Close shuts down the proxy listener (a never-started proxy is a no-op).
+func (p *Proxy) Close() error { return p.srv.Close() }
 
 // route makes one routing decision under the lock: snapshot the context,
 // pick an action (masked to healthy upstreams when a health checker is

@@ -2,16 +2,15 @@ package obs
 
 import (
 	"expvar"
-	"net"
 	"net/http"
 	"net/http/pprof"
 )
 
 // DebugMux returns a fresh mux serving the standard Go debug surface:
 // /debug/pprof/ (profiles, heap, goroutine dumps) and /debug/vars
-// (expvar). The daemons mount this on a separate listener behind a
-// -debug-addr flag, off by default, so the production API surface never
-// grows profiling endpoints by accident.
+// (expvar). The daemons serve it (through internal/daemon) on a separate
+// listener behind a -debug-addr flag, off by default, so the production
+// API surface never grows profiling endpoints by accident.
 func DebugMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -23,55 +22,10 @@ func DebugMux() *http.ServeMux {
 	return mux
 }
 
-// HTTPServer is a minimal owned listener + server pair for auxiliary
-// endpoints (debug surface, standalone /metrics).
-type HTTPServer struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// ServeMux listens on addr and serves handler until Close. addr ""
-// returns (nil, nil): the nil *HTTPServer is a valid disabled server, so
-// flag-gated call sites need no branching.
-func ServeMux(addr string, handler http.Handler) (*HTTPServer, error) {
-	if addr == "" {
-		return nil, nil
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &HTTPServer{ln: ln, srv: &http.Server{Handler: handler}}
-	go func() { _ = s.srv.Serve(ln) }()
-	return s, nil
-}
-
-// StartDebug serves DebugMux on addr ("" = disabled, returns (nil, nil)).
-func StartDebug(addr string) (*HTTPServer, error) {
-	return ServeMux(addr, DebugMux())
-}
-
 // MetricsMux returns a fresh mux serving the registry at /metrics — the
 // standalone scrape surface for daemons without an API server of their own.
 func MetricsMux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Handler())
 	return mux
-}
-
-// Addr returns the bound host:port ("" for a disabled server).
-func (s *HTTPServer) Addr() string {
-	if s == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// Close shuts the listener down. Closing a disabled (nil) server is a
-// no-op.
-func (s *HTTPServer) Close() error {
-	if s == nil {
-		return nil
-	}
-	return s.srv.Close()
 }

@@ -19,13 +19,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/obs"
 )
 
@@ -103,13 +103,11 @@ type Watcher struct {
 	reg   *obs.Registry
 	met   watchMetrics
 
-	stateMu  sync.Mutex
-	running  bool
-	ln       net.Listener
-	srv      *http.Server
-	loopCtx  context.Context
-	cancel   context.CancelFunc
-	loopDone chan struct{}
+	stateMu sync.Mutex
+	running bool
+	srv     *daemon.Server
+	cancel  context.CancelFunc
+	loop    sync.WaitGroup
 }
 
 // targetStatus is one target's scrape health, indexed like cfg.Targets.
@@ -188,50 +186,32 @@ func (w *Watcher) Start(ctx context.Context) error {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	ln, err := net.Listen("tcp", addr)
+	srv, err := daemon.Serve(addr, w.handler())
 	if err != nil {
 		return fmt.Errorf("obswatch: listen %s: %w", addr, err)
 	}
-	w.ln = ln
-	w.srv = &http.Server{Handler: w.handler()}
-	go func() { _ = w.srv.Serve(ln) }()
+	w.srv = srv
 
-	w.loopCtx, w.cancel = context.WithCancel(context.WithoutCancel(ctx))
-	w.loopDone = make(chan struct{})
+	loopCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	w.cancel = cancel
 	if w.cfg.Interval > 0 {
-		go w.loop()
-	} else {
-		close(w.loopDone)
+		w.loop.Add(1)
+		go func() {
+			defer w.loop.Done()
+			w.Tick(loopCtx)
+			daemon.Every(loopCtx, w.cfg.Interval, func() { w.Tick(loopCtx) })
+		}()
 	}
 	w.running = true
-	w.cfg.Logf("fleetwatch: watching %d targets on http://%s", len(w.cfg.Targets), ln.Addr())
+	w.cfg.Logf("fleetwatch: watching %d targets on %s", len(w.cfg.Targets), srv.URL())
 	return nil
-}
-
-// loop runs Tick every Interval until Shutdown.
-func (w *Watcher) loop() {
-	defer close(w.loopDone)
-	w.Tick(w.loopCtx)
-	t := time.NewTicker(w.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			w.Tick(w.loopCtx)
-		case <-w.loopCtx.Done():
-			return
-		}
-	}
 }
 
 // Addr returns the API's host:port (after Start).
 func (w *Watcher) Addr() string {
 	w.stateMu.Lock()
 	defer w.stateMu.Unlock()
-	if w.ln == nil {
-		return ""
-	}
-	return w.ln.Addr().String()
+	return w.srv.Addr()
 }
 
 // URL returns the API's base URL (after Start).
@@ -247,7 +227,7 @@ func (w *Watcher) Shutdown(ctx context.Context) error {
 	w.running = false
 	w.stateMu.Unlock()
 	w.cancel()
-	<-w.loopDone
+	w.loop.Wait()
 	return w.srv.Shutdown(ctx)
 }
 

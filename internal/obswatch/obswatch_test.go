@@ -37,8 +37,10 @@ func TestSeriesRing(t *testing.T) {
 	}
 }
 
-func TestParseProm(t *testing.T) {
-	body := `# HELP x_total help text
+// promFixture mixes every line shape ParseProm meets: comments, labels
+// with spaces, lines without a value, non-finite values and blanks. The
+// ParseProm fuzzer seeds from it.
+const promFixture = `# HELP x_total help text
 # TYPE x_total counter
 x_total 42
 lat{backend="a b",q="0.5"} 1.25
@@ -49,7 +51,9 @@ empty
 
 gauge_neg -3.5
 `
-	got := ParseProm([]byte(body))
+
+func TestParseProm(t *testing.T) {
+	got := ParseProm([]byte(promFixture))
 	want := map[string]float64{
 		"x_total":                    42,
 		`lat{backend="a b",q="0.5"}`: 1.25,

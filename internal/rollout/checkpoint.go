@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/abtest"
+	"repro/internal/daemon"
 )
 
 // CheckpointVersion guards the on-disk rollout checkpoint schema; bump it
@@ -74,10 +74,9 @@ func (c *Controller) snapshotLocked() Checkpoint {
 	}
 }
 
-// Checkpoint atomically persists the controller state with the same
-// protocol as harvestd: marshal to a temp file in the destination
-// directory, fsync, rename — a crash mid-write leaves the previous
-// checkpoint intact.
+// Checkpoint atomically persists the controller state with the same write
+// as harvestd (daemon.WriteFileAtomic) — a crash mid-write leaves the
+// previous checkpoint intact.
 func (c *Controller) Checkpoint() error {
 	path := c.cfg.CheckpointPath
 	if path == "" {
@@ -90,29 +89,8 @@ func (c *Controller) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("rollout: encoding checkpoint: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("rollout: checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(blob); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
+	if err := daemon.WriteFileAtomic(path, blob); err != nil {
 		return fmt.Errorf("rollout: writing checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("rollout: syncing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("rollout: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("rollout: publishing checkpoint: %w", err)
 	}
 	return nil
 }

@@ -41,12 +41,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/abtest"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 )
 
@@ -241,12 +240,10 @@ type Controller struct {
 
 	runCtx    context.Context
 	runCancel context.CancelFunc
-	loopDone  chan struct{}
-	ckptDone  chan struct{}
+	loops     sync.WaitGroup // poll loop and checkpoint timer
 	running   bool
 
-	ln  net.Listener
-	srv *http.Server
+	srv *daemon.Server
 }
 
 // New builds a controller. Call Start to begin polling (or drive Step
@@ -297,13 +294,11 @@ func (c *Controller) Start(ctx context.Context) error {
 			return fmt.Errorf("rollout: loading checkpoint: %w", err)
 		}
 	}
-	if c.cfg.Addr != "" {
-		ln, err := net.Listen("tcp", c.cfg.Addr)
-		if err != nil {
-			return fmt.Errorf("rollout: listen %s: %w", c.cfg.Addr, err)
-		}
-		c.ln = ln
+	srv, err := daemon.Listen(c.cfg.Addr)
+	if err != nil {
+		return fmt.Errorf("rollout: listen %s: %w", c.cfg.Addr, err)
 	}
+	c.srv = srv
 
 	c.start = c.cfg.Clock.Now()
 	if c.lastProgress.IsZero() {
@@ -323,20 +318,26 @@ func (c *Controller) Start(ctx context.Context) error {
 		}
 	}
 
-	c.loopDone = make(chan struct{})
-	go c.runLoop()
-
-	c.ckptDone = make(chan struct{})
+	c.loops.Add(1)
+	go func() {
+		defer c.loops.Done()
+		daemon.Every(c.runCtx, c.cfg.PollInterval, c.poll)
+	}()
 	if c.cfg.CheckpointPath != "" {
-		go c.checkpointLoop()
-	} else {
-		close(c.ckptDone)
+		c.loops.Add(1)
+		go func() {
+			defer c.loops.Done()
+			daemon.Every(c.runCtx, c.cfg.CheckpointInterval, func() {
+				if err := c.Checkpoint(); err != nil {
+					c.cfg.Logf("rollout: checkpoint failed: %v", err)
+				}
+			})
+		}()
 	}
 
-	if c.ln != nil {
-		c.srv = &http.Server{Handler: c.handler()}
-		go func(srv *http.Server, ln net.Listener) { _ = srv.Serve(ln) }(c.srv, c.ln)
-		c.cfg.Logf("rollout: serving on http://%s", c.ln.Addr())
+	if c.srv != nil {
+		c.srv.Serve(c.handler())
+		c.cfg.Logf("rollout: serving on %s", c.srv.URL())
 	}
 	c.running = true
 	return nil
@@ -346,10 +347,7 @@ func (c *Controller) Start(ctx context.Context) error {
 func (c *Controller) Addr() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ln == nil {
-		return ""
-	}
-	return c.ln.Addr().String()
+	return c.srv.Addr()
 }
 
 // URL returns the API's base URL (after Start).
@@ -369,42 +367,15 @@ func (c *Controller) Share() float64 {
 	return c.share()
 }
 
-// runLoop polls on the configured interval until shutdown. Terminal stages
-// stop the clock: a rolled-back controller keeps serving its decision
-// history but stops polling.
-func (c *Controller) runLoop() {
-	defer close(c.loopDone)
-	t := time.NewTicker(c.cfg.PollInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if c.Stage() == StageRolledBack {
-				continue
-			}
-			if _, err := c.Step(c.runCtx); err != nil && c.runCtx.Err() == nil {
-				c.cfg.Logf("rollout: poll failed: %v", err)
-			}
-		case <-c.runCtx.Done():
-			return
-		}
+// poll is one tick of the poll loop. Terminal stages stop the clock: a
+// rolled-back controller keeps serving its decision history but stops
+// polling.
+func (c *Controller) poll() {
+	if c.Stage() == StageRolledBack {
+		return
 	}
-}
-
-// checkpointLoop writes checkpoints on a timer until shutdown.
-func (c *Controller) checkpointLoop() {
-	defer close(c.ckptDone)
-	t := time.NewTicker(c.cfg.CheckpointInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if err := c.Checkpoint(); err != nil {
-				c.cfg.Logf("rollout: checkpoint failed: %v", err)
-			}
-		case <-c.runCtx.Done():
-			return
-		}
+	if _, err := c.Step(c.runCtx); err != nil && c.runCtx.Err() == nil {
+		c.cfg.Logf("rollout: poll failed: %v", err)
 	}
 }
 
@@ -637,12 +608,8 @@ func (c *Controller) Shutdown(ctx context.Context) error {
 	c.mu.Unlock()
 
 	cancel()
-	<-c.loopDone
-	<-c.ckptDone
-	var srvErr error
-	if c.srv != nil {
-		srvErr = c.srv.Shutdown(ctx)
-	}
+	c.loops.Wait()
+	srvErr := c.srv.Shutdown(ctx)
 	var ckptErr error
 	if c.cfg.CheckpointPath != "" {
 		ckptErr = c.Checkpoint()

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/harvestd"
 	"repro/internal/obs"
 	"repro/internal/ope"
@@ -81,12 +82,12 @@ func newFakeHarvest(t *testing.T, workers int) *fakeHarvest {
 	mux.HandleFunc("/estimates", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		writeJSON(w, []harvestd.PolicyEstimate{f.policyEstimate("base", &f.base), f.policyEstimate("cand", &f.cand)})
+		daemon.WriteJSON(w, []harvestd.PolicyEstimate{f.policyEstimate("base", &f.base), f.policyEstimate("cand", &f.cand)})
 	})
 	mux.HandleFunc("/diagnostics", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		writeJSON(w, harvestd.DiagnosticsReport{
+		daemon.WriteJSON(w, harvestd.DiagnosticsReport{
 			Workers: f.workers,
 			Policies: []harvestd.PolicyDiagnostics{
 				f.policyDiag("base", &f.base),
@@ -101,7 +102,7 @@ func newFakeHarvest(t *testing.T, workers int) *fakeHarvest {
 			http.NotFound(w, r)
 			return
 		}
-		writeJSON(w, f.fresh)
+		daemon.WriteJSON(w, f.fresh)
 	})
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)

@@ -6,8 +6,12 @@ set -eu
 
 TMP="${TMPDIR:-/tmp}/fleet-smoke.$$"
 mkdir -p "$TMP"
+# Track daemon PIDs explicitly: `kill $(jobs -p)` is unreliable in a trap
+# under dash (the substitution runs in a subshell with an empty job table),
+# which leaks the daemons and leaves `wait` hanging forever.
+PIDS=""
 cleanup() {
-	kill $(jobs -p) 2>/dev/null || true
+	[ -n "$PIDS" ] && kill $PIDS 2>/dev/null || true
 	wait 2>/dev/null || true
 	rm -rf "$TMP"
 }
@@ -34,10 +38,14 @@ awk 'NR % 2 == 0' "$TMP/full.log" >"$TMP/shard-b.log"
 
 POLICIES=uniform,leastloaded,constant:0
 "$TMP/harvestd" -addr 127.0.0.1:8441 -policies "$POLICIES" -workers 1 -nginx "$TMP/full.log" &
+PIDS="$PIDS $!"
 "$TMP/harvestd" -addr 127.0.0.1:8442 -shard-id shard-a -policies "$POLICIES" -workers 1 -nginx "$TMP/shard-a.log" &
+PIDS="$PIDS $!"
 "$TMP/harvestd" -addr 127.0.0.1:8443 -shard-id shard-b -policies "$POLICIES" -workers 1 -nginx "$TMP/shard-b.log" &
+PIDS="$PIDS $!"
 "$TMP/harvestagg" -addr 127.0.0.1:8440 -pull-interval 100ms \
 	-shards shard-a=http://127.0.0.1:8442,shard-b=http://127.0.0.1:8443 &
+PIDS="$PIDS $!"
 
 # wait_metric PORT PATTERN: poll /metrics until a line matches.
 wait_metric() {
